@@ -52,6 +52,23 @@ def _check_labels(labelnames: tuple[str, ...], labels: dict) -> tuple:
     return tuple(str(labels[name]) for name in labelnames)
 
 
+def _child(metric, child_cls, labels: dict):
+    """``metric``'s child series for ``labels``, checked once per label set.
+
+    Children are stateless views, so one per distinct label set serves
+    every later call.  Only all-``str`` label sets are cached: ``1``,
+    ``1.0`` and ``True`` are equal as dict keys but render as different
+    label values.
+    """
+    items = tuple(labels.items())
+    child = metric._children.get(items)
+    if child is None:
+        child = child_cls(metric, _check_labels(metric.labelnames, labels))
+        if all(type(value) is str for _, value in items):
+            metric._children[items] = child
+    return child
+
+
 class Counter:
     """Monotonically increasing count (``.set`` exists only so legacy
     ``Counters`` attribute assignment can rewire onto the registry)."""
@@ -64,14 +81,14 @@ class Counter:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._values: dict[tuple, float] = {}
+        self._children: dict[tuple, _CounterChild] = {}
         #: Delta listeners ``(name, labels, amount)`` shared with the
         #: owning registry (the flight recorder subscribes there).
         self._listeners: list = []
 
     def labels(self, **labels) -> "_CounterChild":
         """The child series for exactly these label values."""
-        key = _check_labels(self.labelnames, labels)
-        return _CounterChild(self, key)
+        return _child(self, _CounterChild, labels)
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment the unlabelled series by ``amount`` (>= 0)."""
@@ -133,11 +150,11 @@ class Gauge:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._values: dict[tuple, float] = {}
+        self._children: dict[tuple, _GaugeChild] = {}
 
     def labels(self, **labels) -> "_GaugeChild":
         """The child series for exactly these label values."""
-        key = _check_labels(self.labelnames, labels)
-        return _GaugeChild(self, key)
+        return _child(self, _GaugeChild, labels)
 
     def set(self, value: float) -> None:
         """Overwrite the unlabelled series."""
@@ -219,11 +236,11 @@ class Histogram:
         self.labelnames = tuple(labelnames)
         self.buckets = tuple(float(b) for b in buckets)
         self._states: dict[tuple, _HistogramState] = {}
+        self._children: dict[tuple, _HistogramChild] = {}
 
     def labels(self, **labels) -> "_HistogramChild":
         """The child series for exactly these label values."""
-        key = _check_labels(self.labelnames, labels)
-        return _HistogramChild(self, key)
+        return _child(self, _HistogramChild, labels)
 
     def observe(self, value: float) -> None:
         """Record ``value`` into the unlabelled series."""

@@ -171,6 +171,11 @@ class SloTracker:
         self._buckets: dict[str, dict[int, list[int]]] = {
             slo.name: {} for slo in self.objectives
         }
+        # name -> window -> [first, last, good, bad]: the bucket range a
+        # window last covered and its exact integer sums.
+        self._windows: dict[str, dict[float, list[int]]] = {
+            slo.name: {} for slo in self.objectives
+        }
         # (name, rule) -> currently saturated?  (edge-trigger state)
         self._active: dict[tuple[str, BurnRateRule], bool] = {}
         self.alerts: list[SloAlert] = []
@@ -186,8 +191,12 @@ class SloTracker:
         for slo in self.objectives:
             if not slo.matches(query_class):
                 continue
+            verdict = 0 if slo.is_good(latency, ok) else 1
             cell = self._buckets[slo.name].setdefault(index, [0, 0])
-            cell[0 if slo.is_good(latency, ok) else 1] += 1
+            cell[verdict] += 1
+            for span in self._windows[slo.name].values():
+                if span[0] <= index <= span[1]:
+                    span[2 + verdict] += 1
 
     # ------------------------------------------------------------------
     # Burn rates
@@ -195,16 +204,36 @@ class SloTracker:
 
     def _window_counts(self, name: str, now: float,
                        window: float) -> tuple[int, int]:
-        """(good, bad) over simulated ``(now - window, now]``."""
+        """(good, bad) over simulated ``(now - window, now]``.
+
+        Each (SLO, window) pair remembers the bucket range it last summed.
+        When ``now`` moves forward and the ranges overlap, only the
+        buckets that left or entered the range are visited; the sums are
+        integers, so they equal a fresh scan exactly.
+        """
         first = int(math.floor((now - window) / self.bucket_seconds))
         last = int(math.floor(now / self.bucket_seconds))
-        good = bad = 0
         buckets = self._buckets[name]
-        for index in range(first, last + 1):
+        span = self._windows[name].get(window)
+        if (
+            span is None
+            or first < span[0]
+            or last < span[1]
+            or first > span[1]
+        ):
+            span = self._windows[name][window] = [first, first - 1, 0, 0]
+        good, bad = span[2], span[3]
+        for index in range(span[0], first):
+            cell = buckets.get(index)
+            if cell is not None:
+                good -= cell[0]
+                bad -= cell[1]
+        for index in range(span[1] + 1, last + 1):
             cell = buckets.get(index)
             if cell is not None:
                 good += cell[0]
                 bad += cell[1]
+        span[:] = [first, last, good, bad]
         return good, bad
 
     def burn_rate(self, name: str, now: float, window: float) -> float:

@@ -13,26 +13,35 @@ concurrently".
 
 The simulation is exact for this model: between events all rates are
 constant, so we repeatedly advance to the earliest stage completion.
+
+Each event costs one pass over the live CPU tasks and resident kernels
+(advance their work, find the next completion).  Everything else is paid
+only when something changed: the pool water-fills once per event, and only
+if its task set changed; the admission queue is retried only after a
+device released memory or a kernel slot; the think-time wake-up scan runs
+only while some user is thinking.  None of this moves a simulated float,
+because the pool's rates are a pure function of its task set.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.resources import (
+    EPS,
     CpuTask,
     GpuDeviceState,
     GpuKernelTask,
     ProcessorSharingPool,
 )
 from repro.timing import QueryProfile
-
-_EPS = 1e-9
 
 
 @dataclass
@@ -129,8 +138,7 @@ class SimulationResult:
     #: (time, depth) samples of the GPU admission queue, on change.
     queue_depth_log: list[tuple[float, int]] = field(default_factory=list)
     #: (time, active sessions) samples, on change.
-    active_sessions_log: list[tuple[float, int]] = field(
-        default_factory=list)
+    active_sessions_log: list[tuple[float, int]] = field(default_factory=list)
 
     @property
     def queries_completed(self) -> int:
@@ -153,31 +161,37 @@ class SimulationResult:
 
     def queue_depth_at(self, time: float) -> int:
         """Admission-queue depth at simulated ``time`` (step function)."""
-        depth = 0
-        for when, value in self.queue_depth_log:
-            if when > time:
-                break
-            depth = value
-        return depth
+        return _step_value(self.queue_depth_log, time)
 
     def active_sessions_at(self, time: float) -> int:
         """Sessions still running their scripts at simulated ``time``."""
-        active = 0
-        for when, value in self.active_sessions_log:
-            if when > time:
-                break
-            active = value
-        return active
+        return _step_value(self.active_sessions_log, time)
 
 
-@dataclass
+def _step_value(log: list[tuple[float, int]], time: float) -> int:
+    """The value of a time-sorted ``(time, value)`` log at ``time``.
+
+    The last entry at or before ``time`` wins, so of several entries that
+    share a timestamp the one logged last counts; before the first entry
+    the value is 0.
+    """
+    index = bisect_right(log, time, key=itemgetter(0))
+    return log[index - 1][1] if index else 0
+
+
+@dataclass(frozen=True)
 class _Stage:
-    kind: str                 # "cpu" | "gpu"
-    work: float               # core-seconds or device-seconds
+    kind: str  # "cpu" | "gpu"
+    work: float  # core-seconds or device-seconds
     max_rate: float = 1.0
     threads: int = 1
     memory_bytes: int = 0
     parallel_group: int = -1
+
+
+#: A query's stages in launch order, grouped into batches that start
+#: together: one stage, or a whole parallel group.
+_Batches = tuple[tuple[_Stage, ...], ...]
 
 
 @dataclass
@@ -185,19 +199,24 @@ class _UserState:
     script: UserScript
     loop: int = 0
     query_index: int = 0
-    stage_queue: list[_Stage] = field(default_factory=list)
+    batches: _Batches = ()  # the current query's stage batches
+    next_batch: int = 0  # index of the next batch to launch
     query_start: float = 0.0
     outstanding: set = field(default_factory=set)
     waiting_count: int = 0
     stage_intervals: list[PhaseInterval] = field(default_factory=list)
     wait_intervals: list[PhaseInterval] = field(default_factory=list)
-    wake_at: Optional[float] = None      # set while thinking between queries
-    in_query: bool = False               # a begun query not yet finished
+    wake_at: Optional[float] = None  # set while thinking between queries
+    in_query: bool = False  # a begun query not yet finished
     done: bool = False
 
     @property
     def idle(self) -> bool:
         return not self.outstanding and self.waiting_count == 0
+
+    @property
+    def stages_left(self) -> bool:
+        return self.next_batch < len(self.batches)
 
 
 class WorkloadSimulator:
@@ -212,8 +231,12 @@ class WorkloadSimulator:
         ]
         self._task_ids = itertools.count(1)
         self._gpu_waits = 0
-        # Per-run telemetry (reset by run()): task launch metadata for
-        # phase intervals, request traces, and queue/session logs.
+        # Per-run state (reset by run()): each profile's stage batches,
+        # the CPU stages launched since the pool last water-filled, task
+        # launch metadata for phase intervals, request traces, and
+        # queue/session logs.
+        self._batches: dict[int, _Batches] = {}
+        self._launched: list[CpuTask] = []
         self._task_meta: dict[int, tuple[str, int, float]] = {}
         self._requests: list[RequestTrace] = []
         self._queue_log: list[tuple[float, int]] = []
@@ -224,8 +247,12 @@ class WorkloadSimulator:
     # Public API
     # ------------------------------------------------------------------
 
-    def run(self, users: Sequence[UserScript],
-            max_seconds: Optional[float] = None) -> SimulationResult:
+    def run(
+        self,
+        users: Sequence[UserScript],
+        max_seconds: Optional[float] = None,
+    ) -> SimulationResult:
+        """Replay ``users`` until every script ends (or ``max_seconds``)."""
         clock = SimClock()
         states = [_UserState(script=u) for u in users]
         completions: list[QueryCompletion] = []
@@ -233,75 +260,92 @@ class WorkloadSimulator:
         owner_of_task: dict[int, _UserState] = {}
         util_samples: list[tuple[float, float]] = []
         self._gpu_waits = 0
+        self._batches = {}
+        self._launched = []
         self._task_meta = {}
         self._requests = []
         self._queue_log = []
         self._active_count = len(states)
         self._active_log = [(0.0, self._active_count)]
+        thinking = 0  # users whose wake_at is set
 
+        now = clock.now
         for state in states:
-            self._begin_query(state, clock.now)
-            self._skip_empty_queries(state, clock.now, completions)
+            self._begin_query(state, now)
+            self._skip_empty_queries(state, now, completions)
             if not state.done:
-                self._start_next_batch(state, clock, owner_of_task, waiters)
+                self._start_next_batch(state, now, owner_of_task, waiters)
+        self._water_fill(())
 
-        while True:
-            active = [s for s in states if not s.done]
-            if not active:
-                break
-            if max_seconds is not None and clock.now >= max_seconds:
+        while self._active_count:
+            now = clock.now
+            if max_seconds is not None and now >= max_seconds:
                 break
             delta = self._earliest_completion()
-            wake_delta = min(
-                (s.wake_at - clock.now for s in active
-                 if s.wake_at is not None),
-                default=None,
-            )
-            if delta is None and wake_delta is None:
+            if thinking:
+                wake_delta = min(
+                    s.wake_at - now for s in states if s.wake_at is not None
+                )
+                if delta is None or wake_delta < delta:
+                    delta = max(0.0, wake_delta)
+            if delta is None:
                 if waiters:
                     raise SimulationError(
                         "all users blocked on GPU admission with idle "
                         "devices (a stage exceeds every device's capacity?)"
                     )
                 break
-            if delta is None or (wake_delta is not None
-                                 and wake_delta < delta):
-                delta = max(0.0, wake_delta)
-            util_samples.append((clock.now, self.pool.utilisation))
-            clock.advance(delta)
-            self.pool.progress(delta)
+            util_samples.append((now, self.pool.utilisation))
+            now = clock.advance(delta)
+            finished_cpu = self.pool.progress(delta)
+            finished = list(finished_cpu)
+            released = False
             for device in self.devices:
-                device.progress(delta)
+                done = device.progress(delta)
+                for task_id in done:
+                    device.release(task_id, now)
+                    released = True
+                finished += done
 
-            finished = self._collect_finished(owner_of_task, clock.now)
             touched = []
-            for state, task_id in finished:
+            for task_id in finished:
+                state = owner_of_task.pop(task_id)
+                kind, device_id, start = self._task_meta.pop(task_id)
+                state.stage_intervals.append(
+                    PhaseInterval(
+                        kind=kind, start=start, end=now, device_id=device_id
+                    )
+                )
                 state.outstanding.discard(task_id)
                 touched.append(state)
-            # Wake users whose think time elapsed.
-            for state in active:
-                if state.wake_at is not None \
-                        and state.wake_at <= clock.now + _EPS:
-                    state.wake_at = None
-                    touched.append(state)
-            self._drain_waiters(waiters, clock, owner_of_task)
+            if thinking:
+                # Wake users whose think time elapsed.
+                for state in states:
+                    wake_at = state.wake_at
+                    if wake_at is not None and wake_at <= now + EPS:
+                        state.wake_at = None
+                        thinking -= 1
+                        touched.append(state)
+            if released and waiters:
+                self._drain_waiters(waiters, now, owner_of_task)
             for state in touched:
                 if state.done or not state.idle or state.wake_at is not None:
                     continue
-                if state.in_query and not state.stage_queue:
-                    self._finish_query(state, clock.now, completions)
+                if state.in_query and not state.stages_left:
+                    self._finish_query(state, now, completions)
                     if state.done:
                         continue
                     if state.script.think_seconds > 0:
-                        state.wake_at = (clock.now
-                                         + state.script.think_seconds)
+                        state.wake_at = now + state.script.think_seconds
+                        thinking += 1
                         continue
                 if not state.in_query:
-                    self._begin_query(state, clock.now)
-                    self._skip_empty_queries(state, clock.now, completions)
+                    self._begin_query(state, now)
+                    self._skip_empty_queries(state, now, completions)
                     if state.done:
                         continue
-                self._start_next_batch(state, clock, owner_of_task, waiters)
+                self._start_next_batch(state, now, owner_of_task, waiters)
+            self._water_fill(finished_cpu)
 
         return SimulationResult(
             makespan=clock.now,
@@ -322,16 +366,25 @@ class WorkloadSimulator:
 
     def _begin_query(self, state: _UserState, now: float) -> None:
         profile = state.script.profiles[state.query_index]
-        state.stage_queue = list(self._stages_of(profile))
+        batches = self._batches.get(id(profile))
+        if batches is None:
+            batches = _batched(self._stages_of(profile))
+            self._batches[id(profile)] = batches
+        state.batches = batches
+        state.next_batch = 0
         state.query_start = now
         state.in_query = True
         state.stage_intervals = []
         state.wait_intervals = []
 
-    def _skip_empty_queries(self, state: _UserState, now: float,
-                            completions: list[QueryCompletion]) -> None:
+    def _skip_empty_queries(
+        self,
+        state: _UserState,
+        now: float,
+        completions: list[QueryCompletion],
+    ) -> None:
         """Complete zero-work queries instantly (they never enter a pool)."""
-        while not state.done and not state.stage_queue:
+        while not state.done and not state.stages_left:
             self._finish_query(state, now, completions)
             if not state.done:
                 self._begin_query(state, now)
@@ -339,7 +392,7 @@ class WorkloadSimulator:
     def _stages_of(self, profile: QueryProfile) -> Iterable[_Stage]:
         host = self.config.host
         for event in profile.events:
-            if event.parallel_group >= 0 and event.gpu_seconds > _EPS:
+            if event.parallel_group >= 0 and event.gpu_seconds > EPS:
                 # Data-parallel GPU work: fold the (tiny) dispatch CPU time
                 # into the device stage so batch members start together.
                 yield _Stage(
@@ -349,7 +402,7 @@ class WorkloadSimulator:
                     parallel_group=event.parallel_group,
                 )
                 continue
-            if event.cpu_seconds > _EPS:
+            if event.cpu_seconds > EPS:
                 degree = max(1, min(event.max_degree, host.hardware_threads))
                 yield _Stage(
                     kind="cpu",
@@ -358,7 +411,7 @@ class WorkloadSimulator:
                     threads=degree,
                     parallel_group=event.parallel_group,
                 )
-            if event.gpu_seconds > _EPS:
+            if event.gpu_seconds > EPS:
                 yield _Stage(
                     kind="gpu",
                     work=event.gpu_seconds,
@@ -366,45 +419,79 @@ class WorkloadSimulator:
                     parallel_group=event.parallel_group,
                 )
 
-    def _start_next_batch(self, state: _UserState, clock: SimClock,
-                          owner_of_task, waiters) -> None:
+    def _start_next_batch(
+        self, state: _UserState, now: float, owner_of_task, waiters
+    ) -> None:
         """Launch the next stage — or the whole parallel group it heads."""
-        if not state.stage_queue:
+        if not state.stages_left:
             return
-        first = state.stage_queue.pop(0)
-        batch = [first]
-        if first.parallel_group >= 0:
-            while (state.stage_queue
-                   and state.stage_queue[0].parallel_group
-                   == first.parallel_group):
-                batch.append(state.stage_queue.pop(0))
+        batch = state.batches[state.next_batch]
+        state.next_batch += 1
         for stage in batch:
-            self._launch_stage(state, stage, clock, owner_of_task, waiters)
+            self._launch_stage(state, stage, now, owner_of_task, waiters)
 
-    def _launch_stage(self, state: _UserState, stage: _Stage,
-                      clock: SimClock, owner_of_task, waiters) -> None:
+    def _launch_stage(
+        self,
+        state: _UserState,
+        stage: _Stage,
+        now: float,
+        owner_of_task,
+        waiters,
+    ) -> None:
         task_id = next(self._task_ids)
         if stage.kind == "cpu":
-            self.pool.add(CpuTask(task_id=task_id, remaining=stage.work,
-                                  max_rate=stage.max_rate,
-                                  threads=stage.threads))
+            # Joins the pool at the end of the event (see _water_fill).
+            self._launched.append(
+                CpuTask(
+                    task_id=task_id,
+                    remaining=stage.work,
+                    max_rate=stage.max_rate,
+                    threads=stage.threads,
+                )
+            )
             state.outstanding.add(task_id)
             owner_of_task[task_id] = state
-            self._task_meta[task_id] = ("cpu", -1, clock.now)
+            self._task_meta[task_id] = ("cpu", -1, now)
             return
         device = self._pick_device(stage.memory_bytes)
         if device is None:
             state.waiting_count += 1
             self._gpu_waits += 1
-            waiters.append((state, stage, clock.now))
-            self._log_queue_depth(clock.now, len(waiters))
+            waiters.append((state, stage, now))
+            self._log_queue_depth(now, len(waiters))
             return
-        device.admit(GpuKernelTask(task_id=task_id, remaining=stage.work,
-                                   memory_bytes=stage.memory_bytes),
-                     clock.now)
+        self._admit(state, task_id, stage, device, now, owner_of_task)
+
+    def _admit(
+        self,
+        state: _UserState,
+        task_id: int,
+        stage: _Stage,
+        device: GpuDeviceState,
+        now: float,
+        owner_of_task,
+    ) -> None:
+        """Make ``stage`` resident on ``device`` as task ``task_id``."""
+        kernel = GpuKernelTask(
+            task_id=task_id,
+            remaining=stage.work,
+            memory_bytes=stage.memory_bytes,
+        )
+        device.admit(kernel, now)
         state.outstanding.add(task_id)
         owner_of_task[task_id] = state
-        self._task_meta[task_id] = ("gpu", device.device_id, clock.now)
+        self._task_meta[task_id] = ("gpu", device.device_id, now)
+
+    def _water_fill(self, finished_cpu: Sequence[int]) -> None:
+        """Apply one event's CPU removals and launches in one water-fill.
+
+        Nothing reads the pool's rates between an event's first change
+        and the next event, so one water-fill gives the same floats as
+        one per change.
+        """
+        if finished_cpu or self._launched:
+            self.pool.update(added=self._launched, removed=finished_cpu)
+            self._launched = []
 
     def _pick_device(self, memory_bytes: int) -> Optional[GpuDeviceState]:
         candidates = [d for d in self.devices if d.can_admit(memory_bytes)]
@@ -412,31 +499,40 @@ class WorkloadSimulator:
             return None
         return min(candidates, key=lambda d: (d.resident_count, -d.free))
 
-    def _drain_waiters(self, waiters, clock, owner_of_task) -> None:
-        admitted = True
-        while admitted and waiters:
-            admitted = False
-            for i, (state, stage, queued_at) in enumerate(waiters):
-                device = self._pick_device(stage.memory_bytes)
-                if device is None:
-                    continue
-                task_id = next(self._task_ids)
-                device.admit(GpuKernelTask(task_id=task_id,
-                                           remaining=stage.work,
-                                           memory_bytes=stage.memory_bytes),
-                             clock.now)
-                state.waiting_count -= 1
-                state.outstanding.add(task_id)
-                owner_of_task[task_id] = state
-                state.wait_intervals.append(PhaseInterval(
-                    kind="queue", start=queued_at, end=clock.now,
-                    device_id=device.device_id))
-                self._task_meta[task_id] = ("gpu", device.device_id,
-                                            clock.now)
-                waiters.pop(i)
-                self._log_queue_depth(clock.now, len(waiters))
-                admitted = True
-                break
+    def _drain_waiters(self, waiters, now: float, owner_of_task) -> None:
+        """Admit waiting GPU stages in FIFO order, in one pass.
+
+        An admission only fills a device, so a waiter that found no
+        device stays blocked for the rest of the pass, and so does every
+        later waiter that needs at least as much memory.
+        """
+        kept = []
+        blocked = None  # smallest reservation no device took this pass
+        for position, entry in enumerate(waiters):
+            state, stage, queued_at = entry
+            memory = stage.memory_bytes
+            device = None
+            if blocked is None or memory < blocked:
+                device = self._pick_device(memory)
+            if device is None:
+                if blocked is None or memory < blocked:
+                    blocked = memory
+                kept.append(entry)
+                continue
+            task_id = next(self._task_ids)
+            self._admit(state, task_id, stage, device, now, owner_of_task)
+            state.waiting_count -= 1
+            state.wait_intervals.append(
+                PhaseInterval(
+                    kind="queue",
+                    start=queued_at,
+                    end=now,
+                    device_id=device.device_id,
+                )
+            )
+            depth = len(kept) + len(waiters) - position - 1
+            self._log_queue_depth(now, depth)
+        waiters[:] = kept
 
     def _earliest_completion(self) -> Optional[float]:
         candidates = []
@@ -449,45 +545,33 @@ class WorkloadSimulator:
                 candidates.append(eta)
         return min(candidates) if candidates else None
 
-    def _collect_finished(self, owner_of_task,
-                          now: float) -> list[tuple[_UserState, int]]:
-        finished = []
-        for task_id in [t for t, task in self.pool.tasks.items()
-                        if task.remaining <= _EPS]:
-            self.pool.remove(task_id)
-            finished.append((owner_of_task.pop(task_id), task_id))
-        for device in self.devices:
-            for task_id in [t for t, k in device.kernels.items()
-                            if k.remaining <= _EPS]:
-                device.release(task_id, now)
-                finished.append((owner_of_task.pop(task_id), task_id))
-        for state, task_id in finished:
-            meta = self._task_meta.pop(task_id, None)
-            if meta is not None:
-                state.stage_intervals.append(PhaseInterval(
-                    kind=meta[0], start=meta[2], end=now,
-                    device_id=meta[1]))
-        return finished
-
-    def _finish_query(self, state: _UserState, now: float,
-                      completions: list[QueryCompletion]) -> None:
+    def _finish_query(
+        self,
+        state: _UserState,
+        now: float,
+        completions: list[QueryCompletion],
+    ) -> None:
         profile = state.script.profiles[state.query_index]
-        completions.append(QueryCompletion(
-            user_id=state.script.user_id,
-            query_id=profile.query_id,
-            start=state.query_start,
-            end=now,
-        ))
-        self._requests.append(RequestTrace(
-            user_id=state.script.user_id,
-            query_id=profile.query_id,
-            loop=state.loop,
-            index=state.query_index,
-            start=state.query_start,
-            end=now,
-            stages=tuple(state.stage_intervals),
-            waits=tuple(state.wait_intervals),
-        ))
+        completions.append(
+            QueryCompletion(
+                user_id=state.script.user_id,
+                query_id=profile.query_id,
+                start=state.query_start,
+                end=now,
+            )
+        )
+        self._requests.append(
+            RequestTrace(
+                user_id=state.script.user_id,
+                query_id=profile.query_id,
+                loop=state.loop,
+                index=state.query_index,
+                start=state.query_start,
+                end=now,
+                stages=tuple(state.stage_intervals),
+                waits=tuple(state.wait_intervals),
+            )
+        )
         state.in_query = False
         state.query_index += 1
         if state.query_index >= len(state.script.profiles):
@@ -502,3 +586,17 @@ class WorkloadSimulator:
         """Sample the admission-queue depth whenever it changes."""
         if not self._queue_log or self._queue_log[-1][1] != depth:
             self._queue_log.append((now, depth))
+
+
+def _batched(stages: Iterable[_Stage]) -> _Batches:
+    """Group stages into launch batches: each stage alone, except that a
+    run of consecutive stages sharing a non-negative ``parallel_group``
+    starts together."""
+    batches: list[list[_Stage]] = []
+    for stage in stages:
+        group = stage.parallel_group
+        if group >= 0 and batches and batches[-1][0].parallel_group == group:
+            batches[-1].append(stage)
+        else:
+            batches.append([stage])
+    return tuple(tuple(batch) for batch in batches)

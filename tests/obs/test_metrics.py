@@ -115,3 +115,32 @@ class TestRegistry:
         assert snapshot["g"]["series"][0]["labels"] == {"device": "0"}
         assert snapshot["h"]["bounds"] == [1.0, 2.0]
         assert snapshot["h"]["series"][0]["buckets"] == [0, 1, 0]
+
+
+class TestLabelChildren:
+    def test_equal_values_of_other_types_stay_distinct(self):
+        c = Counter("typed_total", labelnames=("v",))
+        c.labels(v=1).inc()
+        c.labels(v=True).inc()
+        c.labels(v=1.0).inc()
+        c.labels(v="1").inc()
+        assert dict((labels["v"], value) for labels, value in c.samples()) \
+            == {"1": 2.0, "True": 1.0, "1.0": 1.0}
+
+    def test_cached_child_still_checks_labels(self):
+        g = Gauge("g", labelnames=("a",))
+        g.labels(a="x").set(1.0)
+        assert g.labels(a="x").value == 1.0
+        with pytest.raises(MetricError):
+            g.set(2.0)
+        with pytest.raises(MetricError):
+            g.set(2.0)
+        with pytest.raises(MetricError):
+            g.labels(b="x")
+
+    def test_unlabelled_series_reuse_one_child(self):
+        h = Histogram("h_seconds")
+        h.observe(0.1)
+        h.observe(0.2)
+        assert h.labels() is h.labels()
+        assert sum(h.bucket_counts()) == 2

@@ -183,3 +183,37 @@ class TestEvaluate:
         late = tracker.status(5.0)[0]
         assert early["requests"] == 1
         assert late["requests"] == 2
+
+
+class TestSlidingWindows:
+    """Cached window sums equal a fresh bucket scan, whatever the order."""
+
+    def test_matches_a_fresh_tracker(self):
+        import random
+
+        rng = random.Random(3)
+        slos = [latency_slo(threshold=0.5, objective=0.9),
+                SLObjective("simple", objective=0.95,
+                            latency_threshold=0.2, query_class="simple")]
+        tracker = SloTracker(slos)
+        seen = []
+        now = 0.0
+        for _ in range(300):
+            if rng.random() < 0.7:
+                at = max(0.0, now + rng.random() * 0.5 - 0.3)
+                sample = (at, rng.random(),
+                          "simple" if rng.random() < 0.5 else "complex",
+                          rng.random() < 0.95)
+                seen.append(sample)
+                tracker.observe(sample[0], sample[1], query_class=sample[2],
+                                ok=sample[3])
+            # Mostly forward, sometimes a jump back (a mid-run snapshot).
+            now = max(0.0, now + rng.random() * 0.2
+                      - (3.0 if rng.random() < 0.05 else 0.0))
+            fresh = SloTracker(slos)
+            for at, latency, cls, ok in seen:
+                fresh.observe(at, latency, query_class=cls, ok=ok)
+            for slo in slos:
+                for window in (0.01, 0.25, 1.0, 4.0, 30.0):
+                    assert tracker._window_counts(slo.name, now, window) \
+                        == fresh._window_counts(slo.name, now, window)

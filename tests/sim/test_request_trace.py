@@ -3,6 +3,8 @@ and active-session logs (the raw feed of the serving layer)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import paper_testbed
@@ -105,3 +107,46 @@ class TestActiveSessionsLog:
         counts = [n for _, n in result.active_sessions_log]
         assert counts[0] == 3 and counts[-1] == 0
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def _scan(log, time):
+    """Reference step lookup: the last entry at or before ``time``."""
+    value = 0
+    for when, entry in log:
+        if when > time:
+            break
+        value = entry
+    return value
+
+
+class TestStepLookups:
+    LOG = [(0.0, 1), (0.5, 2), (0.5, 4), (0.5, 3), (1.25, 0), (2.0, 5)]
+
+    def result(self):
+        from repro.sim import SimulationResult
+
+        return SimulationResult(
+            makespan=2.0, completions=[], device_memory_logs={},
+            cpu_utilisation_samples=[], gpu_waits=0,
+            queue_depth_log=list(self.LOG),
+            active_sessions_log=list(self.LOG))
+
+    def test_last_entry_at_a_shared_timestamp_wins(self):
+        result = self.result()
+        assert result.queue_depth_at(0.5) == 3
+        assert result.active_sessions_at(0.5) == 3
+        assert result.queue_depth_at(0.4999) == 1
+        assert result.queue_depth_at(1.25) == 0
+
+    def test_before_first_and_after_last_entry(self):
+        result = self.result()
+        assert result.queue_depth_at(-1.0) == 0
+        assert result.active_sessions_at(99.0) == 5
+        empty = dataclasses.replace(result, queue_depth_log=[])
+        assert empty.queue_depth_at(1.0) == 0
+
+    def test_matches_a_linear_scan(self):
+        result = self.result()
+        for time in [-0.5, 0.0, 0.25, 0.5, 0.75, 1.25, 1.5, 2.0, 3.0]:
+            assert result.queue_depth_at(time) == _scan(self.LOG, time)
+            assert result.active_sessions_at(time) == _scan(self.LOG, time)
