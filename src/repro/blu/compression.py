@@ -89,6 +89,27 @@ def packed_transfer_bytes(rows: int, cardinality: int,
     return rows * whole_bytes
 
 
+def packed_key_bytes(col) -> int:
+    """Staged bytes of one grouping-key column at its packed width.
+
+    Dictionary columns pack to their cardinality's width; plain integer
+    columns pack to their value span (BLU's load-time frame-of-reference
+    encoding).
+    """
+    if col.dictionary is not None:
+        cardinality = col.dictionary.cardinality
+    elif len(col.data):
+        cardinality = int(col.data.max()) - int(col.data.min()) + 1
+    else:
+        cardinality = 1
+    return packed_transfer_bytes(len(col), cardinality)
+
+
+def staged_key_bytes(table, keys) -> int:
+    """Bytes MEMCPY stages for the key columns, at their packed widths."""
+    return sum(packed_key_bytes(table.column(name)) for name in keys)
+
+
 def compression_stats(rows: int, cardinality: int, value_bytes: int) -> CompressionStats:
     """Model the packed size of a dictionary-coded column.
 

@@ -19,14 +19,13 @@ This is the paper's centrepiece.  For each group-by the executor:
 
 from __future__ import annotations
 
-import itertools as _itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from repro.blu.catalog import Catalog
-from repro.blu.compression import packed_transfer_bytes
+from repro.blu.compression import packed_key_bytes, staged_key_bytes
 from repro.blu.datatypes import int64 as int64_type
 from repro.blu.engine import OperatorContext, cpu_groupby_executor
 from repro.blu.expressions import ColumnRef
@@ -50,13 +49,14 @@ from repro.core.pathselect import (
     select_sharded_path,
 )
 from repro.core.scheduler import MultiGpuScheduler
+from repro.core.exchange import (DeviceWork, Piece, first_rows,
+                                 renumber_merge, run_exchange)
 from repro.errors import GpuError, PinnedMemoryError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.partition import (
-    PartitionPlan,
-    PartitionStreamState,
+    DISPATCH_SECONDS,
     _chain_wall_seconds,
     groupby_working_set_bytes,
     plan_groupby_partitions,
@@ -68,13 +68,6 @@ from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.streams import PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes
 from repro.timing import CostEvent
-
-_DISPATCH_SECONDS = 50e-6     # the single dispatching thread's CPU work
-
-# Deterministic, widely spaced parallel-group ids: each partitioned run
-# claims a base id and numbers its device waves from there.
-_PARALLEL_GROUP_IDS = _itertools.count(0, 1024)
-
 
 @dataclass
 class HybridGroupByExecutor:
@@ -147,8 +140,12 @@ class HybridGroupByExecutor:
             partitioned = select_partitioned_path(
                 operator="groupby", plan=plan, tracer=self._tracer)
             if partitioned.partition:
-                return self._run_partitioned(table, node, ctx,
-                                             optimizer_groups, plan)
+                combined, exact = combine_keys(
+                    grouping_key_arrays(table, node.keys))
+                return self._run_exchange(
+                    table, node, ctx, plan, combined, exact,
+                    murmur3_fmix64(combined), optimizer_groups,
+                    self._payload_specs(table, node))
             self._record(decision.path.value, partitioned.reason)
             return cpu_groupby_executor(table, node, ctx)
         if not decision.use_gpu:
@@ -182,7 +179,7 @@ class HybridGroupByExecutor:
             num_keys=len(node.keys),
             payloads=payloads,
             exact_keys=exact,
-            key_transfer_bytes=_staged_key_bytes(table, node.keys),
+            key_transfer_bytes=staged_key_bytes(table, node.keys),
         )
         staged_bytes = metadata.staged_input_bytes()
         segments = self._staged_segments(table, node)
@@ -195,9 +192,9 @@ class HybridGroupByExecutor:
             sharded = select_sharded_path(
                 operator="groupby", plan=plan, tracer=self._tracer)
             if sharded.shard:
-                return self._run_sharded(table, node, ctx, combined,
-                                         exact, hashes, metadata,
-                                         payloads, plan)
+                return self._run_exchange(table, node, ctx, plan, combined,
+                                          exact, hashes, optimizer_groups,
+                                          payloads)
 
         # Up-front device memory reservation, sized from optimizer metadata
         # (the KMV refinement may grow it below).  The reservation stays
@@ -279,7 +276,7 @@ class HybridGroupByExecutor:
             ctx.ledger.add(CostEvent(
                 op="GPU-GROUPBY",
                 rows=rows,
-                cpu_seconds=_DISPATCH_SECONDS,
+                cpu_seconds=DISPATCH_SECONDS,
                 max_degree=1,
                 gpu_seconds=launch.total_seconds,
                 gpu_memory_bytes=lease.reservation.nbytes,
@@ -320,235 +317,183 @@ class HybridGroupByExecutor:
                 cache.insert(segment.key, segment.nbytes)
 
         self._note_kmv(kmv.groups, winner.n_groups)
-        first_row = _first_rows(winner.group_index, winner.n_groups)
+        first_row = first_rows(winner.group_index, winner.n_groups)
         return build_group_output(
             table, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{table.name}_grouped",
         )
 
     # ------------------------------------------------------------------
-    # Extension: partitioned processing of over-T3 inputs
+    # Extension: partitioned and sharded execution (repro.core.exchange)
     # ------------------------------------------------------------------
 
-    def _run_partitioned(self, table: Table, node: GroupByNode,
-                         ctx: OperatorContext,
-                         optimizer_groups: float,
-                         plan: PartitionPlan) -> Table:
-        """Hash-partition an over-memory group-by into device-sized chunks.
+    def _run_exchange(self, table: Table, node: GroupByNode,
+                      ctx: OperatorContext, plan, combined: np.ndarray,
+                      exact: bool, hashes: np.ndarray,
+                      optimizer_groups: float, payloads: list) -> Table:
+        """Hash-split one group-by into pieces and merge their groups.
 
-        Partitioning on the grouping-key hash makes the partitions'
-        group sets disjoint, so the merge is a renumber-and-concatenate
-        pass — no re-aggregation.  The final group numbering follows
-        global first appearance, which makes the output *bit-identical*
-        to the stock CPU chain's for any partition count and any mix of
-        per-partition GPU faults (a faulted partition redoes its slice
-        on the CPU chain and changes nothing downstream).
+        Splitting on the grouping-key hash makes the pieces' group sets
+        disjoint, so the merge is a renumber-and-concatenate pass — no
+        re-aggregation — and the output is *bit-identical* to the stock
+        CPU chain's for any piece count and any mix of per-piece faults
+        (a faulted piece redoes its slice on the CPU chain).
+
+        A :class:`PartitionPlan` streams an over-memory input through
+        the devices in device-sized partitions, each running the full
+        Figure-2 host chain.  A :class:`ShardPlan` splits a GPU-verdict
+        group-by across every healthy device: the host's only per-row
+        work is the split and the MEMCPY into pinned staging, decode and
+        hash are priced on the shards, and the hash repartition crosses
+        the modelled interconnect as the exchange.
         """
         rows = table.num_rows
         cost = ctx.config.cost
-        key_arrays = grouping_key_arrays(table, node.keys)
-        combined, exact = combine_keys(key_arrays)
+        sharded = isinstance(plan, ShardPlan)
+        count = plan.shards if sharded else plan.partitions
+        num_keys = len(node.keys)
+        num_aggs = max(1, len(payloads))
         key_bits = sum(table.schema.field(k).dtype.bits for k in node.keys)
-        payloads = self._payload_specs(table, node)
+        piece_of_row = hash_shard_assignment(hashes, count)
+        if sharded:
+            # The host only builds the shard index vectors (bandwidth-
+            # bound); the per-row hash is on-device work, priced in each
+            # shard's decode+hash prep slice below.
+            ctx.ledger.cpu("SHARD-SPLIT", rows,
+                           rows * 8 / cost.cpu_memcpy_rate,
+                           max_degree=ctx.degree)
+            self._record("gpu-sharded", plan.reason)
+        else:
+            # One pass over the data to split it (host side, parallel).
+            ctx.ledger.cpu("PARTITION", rows, rows / cost.cpu_scan_rate,
+                           max_degree=ctx.degree)
+            self._record("gpu-partitioned", plan.reason)
 
-        partitions = plan.partitions
-        hashes = murmur3_fmix64(combined)
-        part_of_row = (hashes % np.uint64(partitions)).astype(np.int64)
-        # One pass over the data to split it (host side, parallel).
-        ctx.ledger.cpu("PARTITION", rows, rows / cost.cpu_scan_rate,
-                       max_degree=ctx.degree)
-        self._record("gpu-partitioned", plan.reason, kernel=None)
+        # Every piece is sized up front so a shard wave's H2D legs are
+        # priced with the real switch contention before anything runs.
+        pieces = []
+        for p in range(count):
+            row_ids = np.nonzero(piece_of_row == p)[0]
+            meta = request = None
+            if len(row_ids):
+                keys_p = combined[row_ids]
+                kmv = estimate_distinct(hashes[row_ids], k=1024)
+                meta = RuntimeMetadata(
+                    rows=len(row_ids),
+                    optimizer_groups=optimizer_groups / count,
+                    kmv_groups=kmv.groups,
+                    key_bits=key_bits, num_keys=num_keys,
+                    payloads=payloads, exact_keys=exact,
+                )
+                request = GroupByRequest(
+                    keys=keys_p, key_bits=key_bits, payloads=payloads,
+                    estimated_groups=meta.estimated_groups,
+                    exact_keys=exact,
+                )
+            pieces.append(Piece(
+                index=p, rows=len(row_ids),
+                staged_bytes=meta.staged_input_bytes() if meta else 0,
+                home=plan.devices[p] if sharded else None,
+                data=(row_ids, meta, request),
+            ))
 
-        # Partitions run data-parallel across the devices (section 2.2)
-        # and stream back-to-back within each device on the three-engine
-        # pipeline: the per-device PartitionStreamState charges each
-        # launch only its exposed makespan growth, and parallel groups
-        # pair same-rank partitions on different devices so both the
-        # serial timing and the DES overlap them the way the hardware
-        # would.
-        gpu_events: list[CostEvent] = []
-        group_base = next(_PARALLEL_GROUP_IDS)
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        tracer = self._tracer
-        gpu_parts = cpu_parts = 0
+        def prepare(piece: Piece) -> int:
+            _row_ids, meta, request = piece.data
+            kernel, _reason = self.moderator.choose(meta)
+            if sharded:
+                ctx.ledger.cpu("MEMCPY", piece.rows,
+                               piece.staged_bytes / cost.cpu_memcpy_rate,
+                               ctx.degree)
+            return (piece.staged_bytes + meta.result_bytes()
+                    + kernel.table_bytes(request))
 
-        group_index = np.empty(rows, dtype=np.int64)
-        offset = 0
+        def on_device(piece: Piece, _lease) -> DeviceWork:
+            _row_ids, meta, request = piece.data
+            prep_seconds = 0.0
+            if sharded:
+                # The shard decodes and hashes its encoded columns
+                # on-device before aggregating (the scale-out data
+                # path); both ride the kernel slice of the launch.
+                prep_seconds = (piece.rows * (num_keys + num_aggs + 1)
+                                / cost.gpu_decode_rate)
+            else:
+                # The partition's host chain (including MEMCPY into
+                # pinned staging) runs once a device is leased.
+                ctx.ledger.extend(build_gpu_host_chain(
+                    rows=piece.rows, num_keys=num_keys, num_aggs=num_aggs,
+                    staged_bytes=piece.staged_bytes, cost=cost,
+                ).cost_events(ctx.degree))
+            outcome = self.moderator.run(request, meta, race=False)
+            if self.monitor is not None:
+                self.monitor.record_overflow_retries(
+                    outcome.overflow_retries)
+            winner = outcome.winner
+            return DeviceWork(
+                kernel=winner.kernel,
+                kernel_seconds=(winner.kernel_seconds
+                                + outcome.wasted_device_seconds
+                                + prep_seconds),
+                bytes_in=piece.staged_bytes,
+                bytes_out=meta.result_bytes(),
+                value=(winner.group_index, winner.n_groups),
+            )
 
-        def cpu_partition(rows_p, keys_p):
-            """One partition on the CPU chain — the no-lease / fault
-            fallback target; returns (dense group index, group count)."""
-            sub_index, _, n_sub = group_encode([keys_p])
-            chain_events = build_gpu_host_chain(
-                rows=len(rows_p), num_keys=len(node.keys),
-                num_aggs=max(1, len(payloads)),
+        def on_host(piece: Piece):
+            """One piece on the CPU chain: (dense group index, count)."""
+            row_ids = piece.data[0]
+            sub_index, _, n_sub = group_encode([combined[row_ids]])
+            ctx.ledger.extend(build_gpu_host_chain(
+                rows=piece.rows, num_keys=num_keys, num_aggs=num_aggs,
                 staged_bytes=0, cost=cost,
-            ).cost_events(ctx.degree)
-            ctx.ledger.extend(chain_events)
-            ctx.ledger.cpu(
-                "LGHT", len(rows_p),
-                len(rows_p) / cost.cpu_groupby_rate, ctx.degree)
+            ).cost_events(ctx.degree))
+            ctx.ledger.cpu("LGHT", piece.rows,
+                           piece.rows / cost.cpu_groupby_rate, ctx.degree)
             return sub_index, n_sub
 
-        def note_part(index, n_rows, target, device_id=-1):
-            nonlocal gpu_parts, cpu_parts
-            if target == "gpu":
-                gpu_parts += 1
-            else:
-                cpu_parts += 1
-            if tracer is not None:
-                tracer.instant(
-                    "partition.part", operator="groupby", index=index,
-                    rows=int(n_rows), target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
+        exchange = run_exchange(self, "groupby", pieces, ctx, on_device,
+                                on_host, prepare=prepare)
+        parts = []
+        for piece, (sub_index, n_sub) in exchange.placed:
+            row_ids, meta, _request = piece.data
+            self._note_kmv(meta.kmv_groups, n_sub, stamp_span=False)
+            parts.append((row_ids, sub_index, n_sub))
 
-        for p in range(partitions):
-            rows_p = np.nonzero(part_of_row == p)[0]
-            if not len(rows_p):
-                continue
-            keys_p = combined[rows_p]
-            kmv = estimate_distinct(murmur3_fmix64(keys_p), k=1024)
-            metadata = RuntimeMetadata(
-                rows=len(rows_p),
-                optimizer_groups=optimizer_groups / partitions,
-                kmv_groups=kmv.groups,
-                key_bits=key_bits, num_keys=len(node.keys),
-                payloads=payloads, exact_keys=exact,
-            )
-            request = GroupByRequest(
-                keys=keys_p, key_bits=key_bits, payloads=payloads,
-                estimated_groups=metadata.estimated_groups,
-                exact_keys=exact,
-            )
-            staged = metadata.staged_input_bytes()
-            host_chain = build_gpu_host_chain(
-                rows=len(rows_p), num_keys=len(node.keys),
-                num_aggs=max(1, len(payloads)),
-                staged_bytes=staged, cost=cost,
-            )
-            kernel, _reason = self.moderator.choose(metadata)
-            memory_needed = (staged + metadata.result_bytes()
-                             + kernel.table_bytes(request))
-            lease = self.scheduler.try_acquire(memory_needed,
-                                               tag="groupby-part")
-            if lease is None:
-                # Partition runs on the CPU chain instead (truly hybrid).
-                note_part(p, len(rows_p), "cpu")
-                sub_index, n_sub = cpu_partition(rows_p, keys_p)
-                self._note_kmv(kmv.groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
-                continue
-            for event in host_chain.cost_events(ctx.degree):
-                ctx.ledger.add(event)
-            try:
-                outcome = self.moderator.run(request, metadata, race=False)
-                winner = outcome.winner
-                if self.monitor is not None:
-                    self.monitor.record_overflow_retries(
-                        outcome.overflow_retries)
-                launch = streamed_launch(
-                    lease.device, self.pinned,
-                    kernel=winner.kernel,
-                    kernel_seconds=(winner.kernel_seconds
-                                    + outcome.wasted_device_seconds),
-                    reservation=lease.reservation,
-                    rows=len(rows_p),
-                    bytes_in=staged,
-                    bytes_out=metadata.result_bytes(),
-                    pinned=True,
-                    pipeline=self.pipeline,
-                )
-                # Feed this launch through its device's partition-level
-                # pipeline: only the makespan growth is charged, so H2D
-                # of partition k+1 hides under the kernel of partition k
-                # and the summed events equal the streamed makespan.
-                device_id = lease.device.device_id
-                exposed = stream.advance(
-                    device_id,
-                    launch.transfer_in_seconds,
-                    launch.kernel_seconds,
-                    launch.transfer_out_seconds,
-                )
-                seq = device_seq.get(device_id, 0)
-                device_seq[device_id] = seq + 1
-                gpu_events.append(CostEvent(
-                    op="GPU-GROUPBY",
-                    rows=len(rows_p),
-                    cpu_seconds=_DISPATCH_SECONDS,
-                    max_degree=1,
-                    gpu_seconds=exposed,
-                    gpu_memory_bytes=lease.reservation.nbytes,
-                    device_id=device_id,
-                    parallel_group=group_base + seq,
-                ))
-            except PinnedMemoryError as exc:
-                # Staging exhaustion degrades just this partition to the
-                # CPU chain; the breaker is not fed.
-                if self.monitor is not None:
-                    self.monitor.record_fault_fallback("groupby", exc)
-                note_part(p, len(rows_p), "cpu")
-                sub_index, n_sub = cpu_partition(rows_p, keys_p)
-                self._note_kmv(kmv.groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
-                continue
-            except GpuError as exc:
-                self.scheduler.record_failure(lease)
-                if self.monitor is not None:
-                    self.monitor.record_fault_fallback(
-                        "groupby", exc, lease.device.device_id)
-                note_part(p, len(rows_p), "cpu")
-                sub_index, n_sub = cpu_partition(rows_p, keys_p)
-                self._note_kmv(kmv.groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
-                continue
-            else:
-                self.scheduler.record_success(lease)
-            finally:
-                self.scheduler.release(lease)
-            note_part(p, len(rows_p), "gpu", lease.device.device_id)
-            self._note_kmv(kmv.groups, winner.n_groups, stamp_span=False)
-            group_index[rows_p] = winner.group_index + offset
-            offset += winner.n_groups
-
-        # Emit the device work grouped so same-rank partitions on
-        # *different* devices sit adjacent and overlap (section 2.2);
-        # same-device events keep distinct groups — their overlap is
-        # already folded into the exposed makespan contributions above.
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-
-        # The merge: renumber the disjoint per-partition group ids into
-        # global first-appearance order (one remap pass over the group
-        # index), which makes the concatenated output bit-identical to
-        # the stock CPU chain's hash-insertion order.
-        first = _first_rows(group_index, offset)
-        rank = np.argsort(first, kind="stable")
-        remap = np.empty(offset, dtype=np.int64)
-        remap[rank] = np.arange(offset, dtype=np.int64)
-        group_index = remap[group_index]
-        first_row = first[rank]
-        merge_core_seconds = (offset / cost.cpu_merge_rate
-                              + rows / cost.cpu_scan_rate)
-        ctx.ledger.cpu("PARTITION-MERGE", rows, merge_core_seconds,
-                       max_degree=ctx.degree)
-        merge_wall = merge_core_seconds / max(
+        if sharded:
+            # The exchange: the hash repartition of the encoded input
+            # crosses the interconnect (peer-to-peer over NVLink when
+            # enabled, bounced through host staging otherwise).
+            staged_total = sum(piece.staged_bytes for piece in pieces)
+            exchange_seconds = self.interconnect.exchange_seconds(
+                staged_total, count)
+            cross_bytes = self.interconnect.cross_shard_bytes(
+                staged_total, count)
+            self.interconnect.record_exchange(cross_bytes, exchange_seconds)
+            ctx.ledger.add(CostEvent(
+                op="SHARD-EXCHANGE", rows=rows,
+                cpu_seconds=DISPATCH_SECONDS, max_degree=1,
+                gpu_seconds=exchange_seconds,
+            ))
+        group_index, first_row, groups = renumber_merge(rows, parts)
+        if sharded:
+            # Per-shard aggregation is complete (disjoint group sets), so
+            # only the group tables merge on the host — O(groups), unlike
+            # partitions, whose merge also rebuilds a per-row index.
+            merge_op, merge_core = "SHARD-MERGE", groups / cost.cpu_merge_rate
+            figures = {"exchange_seconds": exchange_seconds,
+                       "exchange_bytes": int(cross_bytes)}
+        else:
+            merge_op = "PARTITION-MERGE"
+            merge_core = (groups / cost.cpu_merge_rate
+                          + rows / cost.cpu_scan_rate)
+            figures = {"working_set": plan.working_set_bytes,
+                       "capacity": plan.capacity_bytes}
+        ctx.ledger.cpu(merge_op, rows, merge_core, max_degree=ctx.degree)
+        merge_wall = merge_core / max(
             1.0, ctx.config.host.effective_capacity(ctx.degree))
-        if tracer is not None:
-            tracer.instant(
-                "partition.exec", operator="groupby",
-                partitions=partitions, gpu_partitions=gpu_parts,
-                cpu_partitions=cpu_parts, rows=rows, groups=int(offset),
-                merge_seconds=merge_wall,
-                working_set=plan.working_set_bytes,
-                capacity=plan.capacity_bytes, query_id=self.query_id,
-            )
+        exchange.report(rows=rows, groups=int(groups),
+                        merge_seconds=merge_wall, **figures)
         return build_group_output(
-            table, node.keys, node.aggs, group_index, first_row, offset,
+            table, node.keys, node.aggs, group_index, first_row, groups,
             name=f"{table.name}_grouped",
         )
 
@@ -605,269 +550,6 @@ class HybridGroupByExecutor:
                                + rows * 8 / cost.cpu_memcpy_rate),
         )
 
-    def _run_sharded(self, table: Table, node: GroupByNode,
-                     ctx: OperatorContext, combined: np.ndarray,
-                     exact: bool, hashes: np.ndarray,
-                     metadata: RuntimeMetadata, payloads: list,
-                     plan: ShardPlan) -> Table:
-        """Split one GPU-verdict group-by across N devices.
-
-        Hash sharding on the grouping-key hash makes the shards' group
-        sets disjoint, so the merge is PR 9's renumber-and-concatenate
-        pass and the output is bit-identical to the CPU chain for any
-        shard count and fault mix.  The host's only per-row work is the
-        slicing split and the MEMCPY into pinned staging: decode and
-        hash are priced on the shards (the numpy arrays here compute
-        the real results the simulation needs, as everywhere else), and
-        the hash repartition crosses the modelled interconnect as the
-        exchange.  A shard whose home device dies reroutes — first to
-        any other admissible device, then to the CPU closure — and the
-        loss triggers the engine's shard-map rebalance afterwards.
-        """
-        rows = table.num_rows
-        cost = ctx.config.cost
-        key_bits = metadata.key_bits
-        shards = plan.shards
-        num_cols = len(node.keys) + max(1, len(payloads))
-        shard_of_row = hash_shard_assignment(hashes, shards)
-        # The host only builds the shard index vectors (bandwidth-bound);
-        # computing the per-row hash is on-device work, priced in each
-        # shard's decode+hash prep slice below.
-        ctx.ledger.cpu("SHARD-SPLIT", rows, rows * 8 / cost.cpu_memcpy_rate,
-                       max_degree=ctx.degree)
-        self._record("gpu-sharded", plan.reason, kernel=None)
-        tracer = self._tracer
-
-        # First pass sizes every shard so the H2D wave can be priced
-        # with the real switch contention before anything launches.
-        shard_rows = []
-        shard_meta = []
-        for s in range(shards):
-            rows_s = np.nonzero(shard_of_row == s)[0]
-            shard_rows.append(rows_s)
-            if not len(rows_s):
-                shard_meta.append(None)
-                continue
-            kmv = estimate_distinct(murmur3_fmix64(combined[rows_s]),
-                                    k=1024)
-            shard_meta.append(RuntimeMetadata(
-                rows=len(rows_s),
-                optimizer_groups=metadata.optimizer_groups / shards,
-                kmv_groups=kmv.groups,
-                key_bits=key_bits, num_keys=len(node.keys),
-                payloads=payloads, exact_keys=exact,
-            ))
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             shard_meta[s].staged_input_bytes() if shard_meta[s] else 0)
-            for s in range(shards)
-        ])
-
-        gpu_events: list[CostEvent] = []
-        group_base = next(_PARALLEL_GROUP_IDS)
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        gpu_shards = cpu_shards = rerouted = 0
-        lost_devices: set[int] = set()
-        group_index = np.empty(rows, dtype=np.int64)
-        offset = 0
-
-        def cpu_shard(rows_s, keys_s):
-            """One shard on the CPU chain — the reroute-of-last-resort;
-            returns (dense group index, group count)."""
-            sub_index, _, n_sub = group_encode([keys_s])
-            chain_events = build_gpu_host_chain(
-                rows=len(rows_s), num_keys=len(node.keys),
-                num_aggs=max(1, len(payloads)),
-                staged_bytes=0, cost=cost,
-            ).cost_events(ctx.degree)
-            ctx.ledger.extend(chain_events)
-            ctx.ledger.cpu(
-                "LGHT", len(rows_s),
-                len(rows_s) / cost.cpu_groupby_rate, ctx.degree)
-            return sub_index, n_sub
-
-        def note_shard(index, n_rows, target, device_id=-1):
-            nonlocal gpu_shards, cpu_shards
-            if target == "cpu":
-                cpu_shards += 1
-            else:
-                gpu_shards += 1
-            if tracer is not None:
-                tracer.instant(
-                    "shard.part", operator="groupby", index=index,
-                    rows=int(n_rows), target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-
-        for s in range(shards):
-            rows_s = shard_rows[s]
-            meta_s = shard_meta[s]
-            if meta_s is None:
-                continue
-            keys_s = combined[rows_s]
-            request = GroupByRequest(
-                keys=keys_s, key_bits=key_bits, payloads=payloads,
-                estimated_groups=meta_s.estimated_groups,
-                exact_keys=exact,
-            )
-            staged_s = meta_s.staged_input_bytes()
-            kernel, _reason = self.moderator.choose(meta_s)
-            memory_needed = (staged_s + meta_s.result_bytes()
-                            + kernel.table_bytes(request))
-            home = plan.devices[s % len(plan.devices)]
-            ctx.ledger.cpu("MEMCPY", len(rows_s),
-                           staged_s / cost.cpu_memcpy_rate, ctx.degree)
-            winner = None
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    memory_needed, tag="groupby-shard",
-                    prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    outcome = self.moderator.run(request, meta_s,
-                                                 race=False)
-                    candidate = outcome.winner
-                    if self.monitor is not None:
-                        self.monitor.record_overflow_retries(
-                            outcome.overflow_retries)
-                    # The shard decodes and hashes its encoded columns
-                    # on-device before aggregating (the scale-out data
-                    # path); both ride the kernel slice of the launch.
-                    prep_seconds = (len(rows_s) * (num_cols + 1)
-                                    / cost.gpu_decode_rate)
-                    launch = streamed_launch(
-                        lease.device, self.pinned,
-                        kernel=candidate.kernel,
-                        kernel_seconds=(candidate.kernel_seconds
-                                        + outcome.wasted_device_seconds
-                                        + prep_seconds),
-                        reservation=lease.reservation,
-                        rows=len(rows_s),
-                        bytes_in=staged_s,
-                        bytes_out=meta_s.result_bytes(),
-                        pinned=True,
-                        pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged_s,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, meta_s.result_bytes(),
-                        launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-GROUPBY",
-                        rows=len(rows_s),
-                        cpu_seconds=_DISPATCH_SECONDS,
-                        max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    winner = candidate
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("groupby", exc)
-                    break
-                except GpuError as exc:
-                    # Only this shard reroutes: feed the breaker, then
-                    # retry on any other admissible device before the
-                    # CPU closure.
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "groupby", exc, lease.device.device_id)
-                    rerouted += 1
-                    continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if winner is None:
-                note_shard(s, len(rows_s), "cpu")
-                sub_index, n_sub = cpu_shard(rows_s, keys_s)
-                self._note_kmv(meta_s.kmv_groups, n_sub, stamp_span=False)
-                group_index[rows_s] = sub_index + offset
-                offset += n_sub
-                continue
-            note_shard(s, len(rows_s), "gpu", lease.device.device_id)
-            self._note_kmv(meta_s.kmv_groups, winner.n_groups,
-                           stamp_span=False)
-            group_index[rows_s] = winner.group_index + offset
-            offset += winner.n_groups
-
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-
-        # The exchange: the hash repartition of the encoded input
-        # crosses the interconnect (peer-to-peer over NVLink when
-        # enabled, bounced through host staging otherwise).
-        staged_total = sum(m.staged_input_bytes()
-                           for m in shard_meta if m is not None)
-        exchange_seconds = self.interconnect.exchange_seconds(
-            staged_total, shards)
-        cross_bytes = self.interconnect.cross_shard_bytes(
-            staged_total, shards)
-        self.interconnect.record_exchange(cross_bytes, exchange_seconds)
-        ctx.ledger.add(CostEvent(
-            op="SHARD-EXCHANGE", rows=rows,
-            cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-            gpu_seconds=exchange_seconds,
-        ))
-
-        # PR 9's renumber-merge, verbatim: disjoint per-shard group ids
-        # renumber into global first-appearance order.
-        first = _first_rows(group_index, offset)
-        rank = np.argsort(first, kind="stable")
-        remap = np.empty(offset, dtype=np.int64)
-        remap[rank] = np.arange(offset, dtype=np.int64)
-        group_index = remap[group_index]
-        first_row = first[rank]
-        # Per-shard aggregation is complete (disjoint group sets), so
-        # only the group tables merge on the host — O(groups), unlike
-        # the partitioned path whose slices share groups and rebuild a
-        # per-row index.
-        merge_core_seconds = offset / cost.cpu_merge_rate
-        ctx.ledger.cpu("SHARD-MERGE", rows, merge_core_seconds,
-                       max_degree=ctx.degree)
-        merge_wall = merge_core_seconds / max(
-            1.0, ctx.config.host.effective_capacity(ctx.degree))
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        if tracer is not None:
-            tracer.instant(
-                "shard.exec", operator="groupby",
-                shards=shards, gpu_shards=gpu_shards,
-                cpu_shards=cpu_shards, rerouted=rerouted,
-                devices=list(plan.devices), rows=rows,
-                groups=int(offset), merge_seconds=merge_wall,
-                exchange_seconds=exchange_seconds,
-                exchange_bytes=int(cross_bytes),
-                stall_seconds=sum(leg.stall_seconds for leg in legs),
-                nvlink=self.interconnect.nvlink_enabled,
-                query_id=self.query_id,
-            )
-        return build_group_output(
-            table, node.keys, node.aggs, group_index, first_row, offset,
-            name=f"{table.name}_grouped",
-        )
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
@@ -896,7 +578,7 @@ class HybridGroupByExecutor:
                                                     col.null_mask),
                     catalog_version=version,
                 ),
-                nbytes=_packed_key_bytes(col),
+                nbytes=packed_key_bytes(col),
             ))
         for agg in node.aggs:
             if not isinstance(agg.expr, ColumnRef):
@@ -959,30 +641,3 @@ class HybridGroupByExecutor:
             reason=reason, kernel=kernel, device_id=device_id,
         ))
 
-
-def _packed_key_bytes(col) -> int:
-    """Staged bytes of one grouping-key column at its packed width.
-
-    Dictionary columns pack to their cardinality's width; plain integer
-    columns pack to their value span (BLU's load-time frame-of-reference
-    encoding).
-    """
-    if col.dictionary is not None:
-        cardinality = col.dictionary.cardinality
-    elif len(col.data):
-        cardinality = int(col.data.max()) - int(col.data.min()) + 1
-    else:
-        cardinality = 1
-    return packed_transfer_bytes(len(col), cardinality)
-
-
-def _staged_key_bytes(table: Table, keys) -> int:
-    """Bytes MEMCPY stages for the key columns, at their packed widths."""
-    return sum(_packed_key_bytes(table.column(name)) for name in keys)
-
-
-def _first_rows(group_index: np.ndarray, n_groups: int) -> np.ndarray:
-    """First row of each dense group id (groups are appearance-ordered)."""
-    first = np.full(n_groups, len(group_index), dtype=np.int64)
-    np.minimum.at(first, group_index, np.arange(len(group_index)))
-    return first

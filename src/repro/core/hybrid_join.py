@@ -22,7 +22,8 @@ from repro.blu.operators.join import _aligned_keys, _assemble
 from repro.blu.plan import JoinNode
 from repro.blu.table import Table
 from repro.config import Thresholds
-from repro.core.hybrid_groupby import _PARALLEL_GROUP_IDS
+from repro.core.exchange import (DeviceWork, Piece, concat_matches,
+                                 run_exchange)
 from repro.core.monitoring import OffloadDecision, PerformanceMonitor
 from repro.core.pathselect import select_sharded_path
 from repro.core.scheduler import MultiGpuScheduler
@@ -30,15 +31,13 @@ from repro.errors import GpuError, PinnedMemoryError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.kernels.join import HashJoinKernel
-from repro.gpu.partition import PartitionStreamState
+from repro.gpu.partition import DISPATCH_SECONDS
 from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
                              range_shard_bounds)
 from repro.gpu.streams import PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes
 from repro.timing import CostEvent
-
-_DISPATCH_SECONDS = 50e-6
 
 
 @dataclass
@@ -85,9 +84,8 @@ class HybridJoinExecutor:
             sharded = select_sharded_path(operator="join", plan=plan,
                                           tracer=self._tracer)
             if sharded.shard:
-                left_idx, right_idx = self._run_sharded_probe(
-                    build_keys, probe_keys, kernel, ctx, plan,
-                    num_cols=num_cols)
+                left_idx, right_idx = self._probe_slices(
+                    build_keys, probe_keys, kernel, ctx, plan, num_cols)
                 # Each shard gathers its joined columns on-device (the
                 # scale-out data path, priced in the shard kernels); the
                 # host only assembles the match index vectors.
@@ -161,7 +159,7 @@ class HybridJoinExecutor:
             ctx.ledger.add(CostEvent(
                 op="GPU-JOIN",
                 rows=probe_rows,
-                cpu_seconds=_DISPATCH_SECONDS,
+                cpu_seconds=DISPATCH_SECONDS,
                 max_degree=1,
                 gpu_seconds=launch.total_seconds,
                 gpu_memory_bytes=lease.reservation.nbytes,
@@ -254,11 +252,10 @@ class HybridJoinExecutor:
             replicated_kernel_seconds=replicated,
         )
 
-    def _run_sharded_probe(self, build_keys: np.ndarray,
-                           probe_keys: np.ndarray, kernel: HashJoinKernel,
-                           ctx: OperatorContext, plan: ShardPlan,
-                           num_cols: int = 0,
-                           ) -> tuple[np.ndarray, np.ndarray]:
+    def _probe_slices(self, build_keys: np.ndarray, probe_keys: np.ndarray,
+                      kernel: HashJoinKernel, ctx: OperatorContext,
+                      plan: ShardPlan, num_cols: int,
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Probe as contiguous range shards, build broadcast to each.
 
         The kernel emits matches in ascending probe order, so the
@@ -267,164 +264,67 @@ class HybridJoinExecutor:
         also gathers its ``num_cols`` joined columns on-device (the
         scale-out data path — the classic path's host materialiser is
         the single biggest non-scaling residue, so the work moves onto
-        the devices it divides across).  A shard whose home device dies
-        reroutes to any admissible device, then to a host-side probe of
-        the same build table; the loss triggers the engine's shard-map
-        rebalance afterwards.
+        the devices it divides across).  A shard the devices drop runs
+        as a host-side probe of the same build table.
         """
         cost = ctx.config.cost
         probe_rows = len(probe_keys)
         build_rows = len(build_keys)
         build_bytes = build_rows * 8
-        shards = plan.shards
+        table_bytes = kernel.table_bytes(build_rows)
         self._record("gpu-sharded", plan.reason)
-        bounds = range_shard_bounds(probe_rows, shards)
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             build_bytes + int(bounds[s + 1] - bounds[s]) * 4)
-            for s in range(shards)
-        ])
-
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        tracer = self._tracer
-        gpu_shards = cpu_shards = rerouted = 0
-        lost_devices: set[int] = set()
-        left_parts: list[np.ndarray] = []
-        right_parts: list[np.ndarray] = []
-        for s in range(shards):
+        bounds = range_shard_bounds(probe_rows, plan.shards)
+        pieces = []
+        for s, home in enumerate(plan.devices):
             lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi <= lo:
-                continue
-            sub = probe_keys[lo:hi]
-            staged_s = build_bytes + len(sub) * 4
-            memory_needed = (staged_s + len(sub) * 4
-                             + kernel.table_bytes(build_rows))
-            home = plan.devices[s % len(plan.devices)]
-            matched = None
-            device_id = -1
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    memory_needed, tag="join-shard", prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    result = kernel.run(build_keys, sub)
-                    # On-device gather of the joined columns for this
-                    # shard's matches rides the kernel slice.
-                    gather_seconds = (len(result.left_idx) * num_cols
-                                      / cost.gpu_gather_rate)
-                    launch = streamed_launch(
-                        lease.device, self.pinned,
-                        kernel=result.kernel,
-                        kernel_seconds=(result.kernel_seconds
-                                        + gather_seconds),
-                        reservation=lease.reservation,
-                        rows=len(sub),
-                        bytes_in=staged_s,
-                        bytes_out=len(result.left_idx) * 4,
-                        pinned=True,
-                        pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged_s,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, len(result.left_idx) * 4,
-                        launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-JOIN", rows=len(sub),
-                        cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    matched = (lo + result.left_idx, result.right_idx)
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("join", exc)
-                    break
-                except GpuError as exc:
-                    # Only this shard reroutes: feed the breaker, then
-                    # retry on any other admissible device before the
-                    # host probe.
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "join", exc, lease.device.device_id)
-                    rerouted += 1
-                    continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if matched is None:
-                cpu_shards += 1
-                target, device_id = "cpu", -1
-                matched = _host_probe(build_keys, sub, lo)
-                ctx.ledger.cpu(
-                    "JOIN-PROBE", len(sub),
-                    build_rows / cost.cpu_join_build_rate
-                    + len(sub) / cost.cpu_join_probe_rate
-                    + len(matched[0]) * num_cols / cost.cpu_decode_rate,
-                    max_degree=ctx.degree)
-            else:
-                gpu_shards += 1
-                target = "gpu"
-            if tracer is not None:
-                tracer.instant(
-                    "shard.part", operator="join", index=s,
-                    rows=hi - lo, target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-            left_parts.append(matched[0])
-            right_parts.append(matched[1])
+            staged = build_bytes + (hi - lo) * 4
+            pieces.append(Piece(
+                index=s, rows=hi - lo,
+                memory_bytes=staged + (hi - lo) * 4 + table_bytes,
+                staged_bytes=staged, home=home, data=lo,
+            ))
 
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
+        def on_device(piece: Piece, _lease) -> DeviceWork:
+            lo = piece.data
+            result = kernel.run(build_keys, probe_keys[lo:lo + piece.rows])
+            # On-device gather of the joined columns for this shard's
+            # matches rides the kernel slice.
+            gather_seconds = (len(result.left_idx) * num_cols
+                              / cost.gpu_gather_rate)
+            return DeviceWork(
+                kernel=result.kernel,
+                kernel_seconds=result.kernel_seconds + gather_seconds,
+                bytes_in=piece.staged_bytes,
+                bytes_out=len(result.left_idx) * 4,
+                value=(lo + result.left_idx, result.right_idx),
+            )
 
+        def on_host(piece: Piece):
+            lo = piece.data
+            matched = _host_probe(build_keys,
+                                  probe_keys[lo:lo + piece.rows], lo)
+            ctx.ledger.cpu(
+                "JOIN-PROBE", piece.rows,
+                build_rows / cost.cpu_join_build_rate
+                + piece.rows / cost.cpu_join_probe_rate
+                + len(matched[0]) * num_cols / cost.cpu_decode_rate,
+                max_degree=ctx.degree)
+            return matched
+
+        exchange = run_exchange(self, "join", pieces, ctx, on_device,
+                                on_host)
         # The merge: matches arrive in ascending probe order per shard
         # and shards are contiguous slices, so concatenation preserves
         # the whole-probe order exactly — one host memcpy.
-        left_idx = (np.concatenate(left_parts) if left_parts
-                    else np.empty(0, dtype=np.int64))
-        right_idx = (np.concatenate(right_parts) if right_parts
-                     else np.empty(0, dtype=np.int64))
+        left_idx, right_idx = concat_matches(exchange.values())
         merge_core = probe_rows * 8 / cost.cpu_memcpy_rate
         ctx.ledger.cpu("SHARD-MERGE", probe_rows, merge_core,
                        max_degree=ctx.degree)
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        if tracer is not None:
-            tracer.instant(
-                "shard.exec", operator="join", shards=shards,
-                gpu_shards=gpu_shards, cpu_shards=cpu_shards,
-                rerouted=rerouted, devices=list(plan.devices),
-                rows=probe_rows, groups=0,
-                merge_seconds=merge_core / max(
-                    1.0, ctx.config.host.effective_capacity(ctx.degree)),
-                exchange_seconds=0.0, exchange_bytes=0,
-                stall_seconds=sum(leg.stall_seconds for leg in legs),
-                nvlink=self.interconnect.nvlink_enabled,
-                query_id=self.query_id,
-            )
+        exchange.report(
+            rows=probe_rows, groups=0,
+            merge_seconds=merge_core / max(
+                1.0, ctx.config.host.effective_capacity(ctx.degree)),
+            exchange_seconds=0.0, exchange_bytes=0)
         return left_idx, right_idx
 
     @property

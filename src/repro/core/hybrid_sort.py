@@ -35,7 +35,8 @@ from repro.blu.engine import OperatorContext, cpu_sort_executor
 from repro.blu.plan import SortKey, SortNode
 from repro.blu.table import Table
 from repro.config import Thresholds
-from repro.core.hybrid_groupby import _PARALLEL_GROUP_IDS
+from repro.core.exchange import (DeviceWork, Piece, run_exchange,
+                                 stable_merge)
 from repro.core.monitoring import OffloadDecision, PerformanceMonitor
 from repro.core.pathselect import (select_partitioned_path,
                                    select_sharded_path, select_sort_offload)
@@ -45,15 +46,13 @@ from repro.obs.tracing import NULL_TRACER
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.kernels.radix_sort import RadixSortKernel
-from repro.gpu.partition import PartitionStreamState, plan_sort_partitions
+from repro.gpu.partition import DISPATCH_SECONDS, plan_sort_partitions
 from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
                              range_shard_bounds)
 from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.streams import PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes
 from repro.timing import CostEvent
-
-_DISPATCH_SECONDS = 50e-6
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +309,34 @@ class HybridSortExecutor:
         length = len(partial)
         if self.shard_enabled and self.interconnect is not None:
             table_name = segment.key.table if segment is not None else ""
-            sharded = self._sharded_sort_job(partial, radix, ctx, stats,
-                                             table_name)
-            if sharded is not None:
-                return sharded
+            plan = self._plan_shard_sort(partial, ctx, table_name)
+            if select_sharded_path(operator="sort", plan=plan,
+                                   tracer=self._tracer).shard:
+                return self._sort_slices(partial, radix, ctx, stats, plan)
         staged = length * 8           # key + payload pairs
         memory_needed = radix.device_bytes(length)
         if not self.scheduler.fits_any_device(memory_needed):
             # No card could ever hold this job whole — the sort-side T3
             # cliff.  Slice it through the devices, or decline to the
             # CPU sort when the planner says partitioning cannot win.
-            return self._partitioned_sort_job(partial, radix, ctx, stats)
+            plan = plan_sort_partitions(
+                rows=length,
+                device_bytes_per_row=radix.device_bytes(1),
+                staged_bytes_per_row=8,
+                cost=ctx.config.cost, spec=self.scheduler.devices[0].spec,
+                host=ctx.config.host, degree=ctx.degree,
+                capacity_bytes=max(
+                    (d.memory.capacity for d in self.scheduler.devices),
+                    default=0),
+                max_partitions=self.max_partitions,
+                devices=self.scheduler.device_count,
+            )
+            if not select_partitioned_path(
+                    operator="sort", plan=plan, enabled=self.partition_large,
+                    tracer=self._tracer).partition:
+                stats.fallbacks += 1
+                return None
+            return self._sort_slices(partial, radix, ctx, stats, plan)
         affinity = [segment.key] if segment is not None else None
         lease = self.scheduler.try_acquire(memory_needed, tag="sort",
                                            affinity=affinity)
@@ -348,7 +364,7 @@ class HybridSortExecutor:
             )
             ctx.ledger.add(CostEvent(
                 op="GPU-SORT", rows=length,
-                cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
+                cpu_seconds=DISPATCH_SECONDS, max_degree=1,
                 gpu_seconds=launch.total_seconds,
                 gpu_memory_bytes=lease.reservation.nbytes,
                 device_id=lease.device.device_id,
@@ -381,13 +397,12 @@ class HybridSortExecutor:
         return result.order, ranges
 
     # ------------------------------------------------------------------
-    # Extension: partitioned processing of over-memory jobs
+    # Extension: partitioned and sharded jobs (repro.core.exchange)
     # ------------------------------------------------------------------
 
-    def _partitioned_sort_job(self, partial: np.ndarray,
-                              radix: RadixSortKernel, ctx: OperatorContext,
-                              stats: SortRunStats):
-        """An over-memory job as contiguous device-sized slices.
+    def _sort_slices(self, partial: np.ndarray, radix: RadixSortKernel,
+                     ctx: OperatorContext, stats: SortRunStats, plan):
+        """One job as contiguous slices: partitions or shards.
 
         Each slice radix-sorts independently (on a device when one has
         room, on the host when not or when a launch faults), then one
@@ -395,161 +410,74 @@ class HybridSortExecutor:
         the runs.  Slices are contiguous ascending index ranges, so for
         equal keys the merge keeps lower-slice (= lower-index) rows
         first: the merged order equals a single global stable sort
-        bit-for-bit, for any slice count and any mix of per-slice
-        faults.  ``None`` declines the whole job to the CPU sort.
+        bit-for-bit, for any slice count and any fault mix.  A
+        :class:`PartitionPlan` streams an over-memory job through the
+        devices; a :class:`ShardPlan` puts one range shard on each
+        healthy device, its H2D wave priced at the switch-contended
+        bandwidth.
         """
         cost = ctx.config.cost
-        capacity = max(
-            (d.memory.capacity for d in self.scheduler.devices), default=0)
         rows = len(partial)
-        plan = plan_sort_partitions(
-            rows=rows,
-            device_bytes_per_row=radix.device_bytes(1),
-            staged_bytes_per_row=8,
-            cost=cost, spec=self.scheduler.devices[0].spec,
-            host=ctx.config.host, degree=ctx.degree,
-            capacity_bytes=capacity,
-            max_partitions=self.max_partitions,
-            devices=self.scheduler.device_count,
-        )
-        decision = select_partitioned_path(
-            operator="sort", plan=plan, enabled=self.partition_large,
-            tracer=self._tracer)
-        if not decision.partition:
-            stats.fallbacks += 1
-            return None
-        partitions = plan.partitions
-        self._record("gpu-partitioned", plan.reason)
+        sharded = isinstance(plan, ShardPlan)
+        count = plan.shards if sharded else plan.partitions
+        self._record("gpu-sharded" if sharded else "gpu-partitioned",
+                     plan.reason)
+        bounds = range_shard_bounds(rows, count)
+        pieces = []
+        for s in range(count):
+            lo, length = int(bounds[s]), int(bounds[s + 1] - bounds[s])
+            pieces.append(Piece(
+                index=s, rows=length,
+                memory_bytes=radix.device_bytes(length),
+                staged_bytes=length * 8,
+                home=plan.devices[s] if sharded else None, data=lo,
+            ))
 
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        tracer = self._tracer
-        gpu_parts = cpu_parts = 0
-        bounds = np.linspace(0, rows, partitions + 1).astype(np.int64)
-        pieces: list[np.ndarray] = []
-        for p in range(partitions):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            if hi <= lo:
-                continue
-            sub = partial[lo:hi]
-            sliced = self._gpu_sort_slice(sub, radix, ctx, stream,
-                                          device_seq, group_base,
-                                          gpu_events)
-            if sliced is None:
-                # The slice (not the whole job) degrades to the host.
-                stats.fallbacks += 1
-                cpu_parts += 1
-                target, device_id = "cpu", -1
-                sub_order = np.argsort(sub, kind="stable")
-                if len(sub) > 1:
-                    comparisons = len(sub) * math.log2(len(sub))
-                    ctx.ledger.add(CostEvent(
-                        op="SORT", rows=len(sub),
-                        cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
-                        max_degree=min(ctx.degree, 8),
-                    ))
-            else:
-                gpu_parts += 1
-                target = "gpu"
-                sub_order, device_id = sliced
-            if tracer is not None:
-                tracer.instant(
-                    "partition.part", operator="sort", index=p,
-                    rows=hi - lo, target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-            pieces.append(lo + sub_order)
+        def on_device(piece: Piece, _lease) -> DeviceWork:
+            result = radix.run(partial[piece.data:piece.data + piece.rows])
+            return DeviceWork(
+                kernel=radix.name, kernel_seconds=result.kernel_seconds,
+                bytes_in=piece.staged_bytes, bytes_out=piece.staged_bytes,
+                value=result.order)
 
-        # Same-rank slices on different devices overlap; same-device
-        # slices keep their exposed-makespan accounting (see the
-        # group-by executor's partitioned path).
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
+        def on_host(piece: Piece) -> np.ndarray:
+            sub = partial[piece.data:piece.data + piece.rows]
+            if len(sub) > 1:
+                comparisons = len(sub) * math.log2(len(sub))
+                ctx.ledger.add(CostEvent(
+                    op="SORT", rows=len(sub),
+                    cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
+                    max_degree=min(ctx.degree, 8),
+                ))
+            return np.argsort(sub, kind="stable")
 
-        # The k-way merge: one stable argsort over the concatenated
-        # slice-sorted keys (runs are already sorted, priced at
-        # rows * log2(k) comparisons like the CPU sort model).
-        run_order = np.concatenate(pieces)
-        merge_perm = np.argsort(partial[run_order], kind="stable")
-        sub_order = run_order[merge_perm]
-        if partitions > 1:
-            merge_comparisons = rows * math.log2(partitions)
+        exchange = run_exchange(self, "sort", pieces, ctx, on_device,
+                                on_host)
+        stats.fallbacks += exchange.cpu
+        sub_order = stable_merge(
+            partial, [piece.data + order for piece, order in exchange.placed])
+        if count > 1 and rows > 1:
+            # The k-way merge, priced at rows * log2(k) comparisons like
+            # the CPU sort model.  Merge-path partitioning splits a shard
+            # merge into independent output ranges, so it runs at full
+            # degree; the partitions' merge is one queue.
+            merge_comparisons = rows * math.log2(count)
             ctx.ledger.add(CostEvent(
                 op="SORT-MERGE", rows=rows,
                 cpu_seconds=merge_comparisons / (cost.cpu_sort_rate * 16),
-                max_degree=min(ctx.degree, 8),
+                max_degree=min(ctx.degree, 48 if sharded else 8),
             ))
-        if tracer is not None:
-            tracer.instant(
-                "partition.exec", operator="sort", partitions=partitions,
-                gpu_partitions=gpu_parts, cpu_partitions=cpu_parts,
-                rows=rows, groups=0, merge_seconds=plan.merge_seconds,
-                working_set=plan.working_set_bytes,
-                capacity=plan.capacity_bytes, query_id=self.query_id,
-            )
-        stats.jobs_gpu += 1
-        stats.partitioned_jobs += 1
-        return sub_order, _duplicate_ranges(partial[sub_order])
-
-    def _gpu_sort_slice(self, sub: np.ndarray, radix: RadixSortKernel,
-                        ctx: OperatorContext, stream: PartitionStreamState,
-                        device_seq: dict[int, int], group_base: int,
-                        gpu_events: list[CostEvent]):
-        """One slice on a device; ``None`` degrades the slice to the host."""
-        length = len(sub)
-        staged = length * 8
-        lease = self.scheduler.try_acquire(radix.device_bytes(length),
-                                           tag="sort-part")
-        if lease is None:
-            return None
-        try:
-            result = radix.run(sub)
-            launch = streamed_launch(
-                lease.device, self.pinned,
-                kernel=radix.name,
-                kernel_seconds=result.kernel_seconds,
-                reservation=lease.reservation,
-                rows=length,
-                bytes_in=staged,
-                bytes_out=staged,
-                pinned=True,
-                pipeline=self.pipeline,
-            )
-            device_id = lease.device.device_id
-            exposed = stream.advance(
-                device_id,
-                launch.transfer_in_seconds,
-                launch.kernel_seconds,
-                launch.transfer_out_seconds,
-            )
-            seq = device_seq.get(device_id, 0)
-            device_seq[device_id] = seq + 1
-            gpu_events.append(CostEvent(
-                op="GPU-SORT", rows=length,
-                cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                gpu_seconds=exposed,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=device_id,
-                parallel_group=group_base + seq,
-            ))
-        except PinnedMemoryError as exc:
-            # Host-side staging exhaustion: the breaker stays out of it.
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("sort", exc)
-            return None
-        except GpuError as exc:
-            self.scheduler.record_failure(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback(
-                    "sort", exc, lease.device.device_id)
-            return None
+        if sharded:
+            figures = {"exchange_seconds": 0.0, "exchange_bytes": 0}
+            stats.sharded_jobs += 1
         else:
-            self.scheduler.record_success(lease)
-        finally:
-            self.scheduler.release(lease)
-        return result.order, lease.device.device_id
+            figures = {"working_set": plan.working_set_bytes,
+                       "capacity": plan.capacity_bytes}
+            stats.partitioned_jobs += 1
+        exchange.report(rows=rows, groups=0,
+                        merge_seconds=plan.merge_seconds, **figures)
+        stats.jobs_gpu += 1
+        return sub_order, _duplicate_ranges(partial[sub_order])
 
     # ------------------------------------------------------------------
     # Extension: sharded N-device execution (docs/scale_out.md)
@@ -596,178 +524,6 @@ class HybridSortExecutor:
             interconnect=self.interconnect,
             cpu_seconds=cpu_core / cpu_capacity,
         )
-
-    def _sharded_sort_job(self, partial: np.ndarray,
-                          radix: RadixSortKernel, ctx: OperatorContext,
-                          stats: SortRunStats, table_name: str):
-        """One job as range shards, one per healthy device.
-
-        Shards are contiguous ascending index slices, so the PR 9
-        k-way stable merge (one stable argsort over the concatenated
-        slice-sorted keys) reproduces a single global stable sort
-        bit-for-bit for any shard count and fault mix.  The H2D wave is
-        priced at the switch-contended bandwidth; a shard whose home
-        device dies reroutes to any admissible device, then to the host
-        sort, and the loss triggers the engine's shard-map rebalance.
-        ``None`` means the gate declined and the job runs whole.
-        """
-        plan = self._plan_shard_sort(partial, ctx, table_name)
-        decision = select_sharded_path(operator="sort", plan=plan,
-                                       tracer=self._tracer)
-        if not decision.shard:
-            return None
-        cost = ctx.config.cost
-        rows = len(partial)
-        shards = plan.shards
-        self._record("gpu-sharded", plan.reason)
-        bounds = range_shard_bounds(rows, shards)
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             int(bounds[s + 1] - bounds[s]) * 8)
-            for s in range(shards)
-        ])
-
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        tracer = self._tracer
-        gpu_shards = cpu_shards = rerouted = 0
-        lost_devices: set[int] = set()
-        pieces: list[np.ndarray] = []
-        for s in range(shards):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi <= lo:
-                continue
-            sub = partial[lo:hi]
-            staged = len(sub) * 8
-            home = plan.devices[s % len(plan.devices)]
-            sliced = None
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    radix.device_bytes(len(sub)), tag="sort-shard",
-                    prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    result = radix.run(sub)
-                    launch = streamed_launch(
-                        lease.device, self.pinned,
-                        kernel=radix.name,
-                        kernel_seconds=result.kernel_seconds,
-                        reservation=lease.reservation,
-                        rows=len(sub),
-                        bytes_in=staged,
-                        bytes_out=staged,
-                        pinned=True,
-                        pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, staged, launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-SORT", rows=len(sub),
-                        cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    sliced = (result.order, device_id)
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("sort", exc)
-                    stats.fallbacks += 1
-                    break
-                except GpuError as exc:
-                    # Only this shard reroutes: feed the breaker, then
-                    # retry on any other admissible device before the
-                    # host sort.
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "sort", exc, lease.device.device_id)
-                    stats.fallbacks += 1
-                    rerouted += 1
-                    continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if sliced is None:
-                cpu_shards += 1
-                target, device_id = "cpu", -1
-                sub_order = np.argsort(sub, kind="stable")
-                if len(sub) > 1:
-                    comparisons = len(sub) * math.log2(len(sub))
-                    ctx.ledger.add(CostEvent(
-                        op="SORT", rows=len(sub),
-                        cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
-                        max_degree=min(ctx.degree, 8),
-                    ))
-            else:
-                gpu_shards += 1
-                target = "gpu"
-                sub_order, device_id = sliced
-            if tracer is not None:
-                tracer.instant(
-                    "shard.part", operator="sort", index=s,
-                    rows=hi - lo, target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-            pieces.append(lo + sub_order)
-
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-
-        # PR 9's k-way stable merge, verbatim: shards are contiguous
-        # ascending index ranges, so equal keys keep lower-index rows
-        # first and the result equals one global stable sort.
-        run_order = np.concatenate(pieces)
-        merge_perm = np.argsort(partial[run_order], kind="stable")
-        sub_order = run_order[merge_perm]
-        if shards > 1 and rows > 1:
-            # Merge-path partitioning: the k-way merge splits into
-            # independent output ranges, so it runs at full degree
-            # (unlike the single-queue partitioned merge).
-            merge_comparisons = rows * math.log2(shards)
-            ctx.ledger.add(CostEvent(
-                op="SORT-MERGE", rows=rows,
-                cpu_seconds=merge_comparisons / (cost.cpu_sort_rate * 16),
-                max_degree=min(ctx.degree, 48),
-            ))
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        if tracer is not None:
-            tracer.instant(
-                "shard.exec", operator="sort", shards=shards,
-                gpu_shards=gpu_shards, cpu_shards=cpu_shards,
-                rerouted=rerouted, devices=list(plan.devices),
-                rows=rows, groups=0, merge_seconds=plan.merge_seconds,
-                exchange_seconds=0.0, exchange_bytes=0,
-                stall_seconds=sum(leg.stall_seconds for leg in legs),
-                nvlink=self.interconnect.nvlink_enabled,
-                query_id=self.query_id,
-            )
-        stats.jobs_gpu += 1
-        stats.sharded_jobs += 1
-        return sub_order, _duplicate_ranges(partial[sub_order])
 
     # ------------------------------------------------------------------
     # Extension: segmented descent through duplicate ranges
@@ -877,8 +633,41 @@ class HybridSortExecutor:
         decision = select_sharded_path(operator="sort", plan=plan,
                                        tracer=self._tracer)
         if decision.shard:
-            self._charge_segmented_shards(rows, segments, staged, plan,
-                                          radix, ctx, stats)
+            # The shard wave: merge-free per-device legs on segment
+            # boundaries.  The host lexsort already produced the order,
+            # so the wave only charges the devices; it reports through
+            # the job's own stats, not per-shard instants.
+            shards = plan.shards
+            bounds = range_shard_bounds(rows, shards)
+            pieces = []
+            for s, home in enumerate(plan.devices):
+                length = int(bounds[s + 1] - bounds[s])
+                pieces.append(Piece(
+                    index=s, rows=length,
+                    memory_bytes=radix.device_bytes(length),
+                    staged_bytes=length * 8, home=home))
+
+            def on_device(piece: Piece, _lease) -> DeviceWork:
+                return DeviceWork(
+                    kernel=radix.name,
+                    kernel_seconds=(piece.rows / cost.gpu_radix_sort_rate
+                                    + piece.rows / cost.gpu_scan_rate),
+                    bytes_in=piece.staged_bytes,
+                    bytes_out=piece.staged_bytes, value=None)
+
+            def on_host(piece: Piece) -> None:
+                # This shard's segments sort on the host workers.
+                comparisons = piece.rows * math.log2(
+                    max(2, piece.rows // max(1, segments // shards)))
+                ctx.ledger.cpu("SORT", piece.rows,
+                               comparisons / (cost.cpu_sort_rate * 16),
+                               min(ctx.degree, 48))
+
+            exchange = run_exchange(self, "sort", pieces, ctx, on_device,
+                                    on_host, traced=False)
+            stats.fallbacks += exchange.cpu
+            stats.jobs_gpu += 1
+            stats.sharded_jobs += 1
             return
 
         lease = None
@@ -886,143 +675,41 @@ class HybridSortExecutor:
                 radix.device_bytes(rows))):
             lease = self.scheduler.try_acquire(radix.device_bytes(rows),
                                                tag="sort")
-        if lease is None:
-            ctx.ledger.cpu("SORT", rows,
-                           host_comparisons / (cost.cpu_sort_rate * 16),
-                           min(ctx.degree, 48))
-            stats.jobs_cpu += 1
-            return
-        try:
-            launch = streamed_launch(
-                lease.device, self.pinned, kernel=radix.name,
-                kernel_seconds=kernel_seconds,
-                reservation=lease.reservation, rows=rows,
-                bytes_in=staged, bytes_out=staged, pinned=True,
-                pipeline=self.pipeline,
-            )
-            ctx.ledger.add(CostEvent(
-                op="GPU-SORT", rows=rows,
-                cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                gpu_seconds=launch.total_seconds,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=lease.device.device_id,
-            ))
-        except (PinnedMemoryError, GpuError) as exc:
-            if isinstance(exc, GpuError):
+        if lease is not None:
+            try:
+                launch = streamed_launch(
+                    lease.device, self.pinned, kernel=radix.name,
+                    kernel_seconds=kernel_seconds,
+                    reservation=lease.reservation, rows=rows,
+                    bytes_in=staged, bytes_out=staged, pinned=True,
+                    pipeline=self.pipeline,
+                )
+                ctx.ledger.add(CostEvent(
+                    op="GPU-SORT", rows=rows,
+                    cpu_seconds=DISPATCH_SECONDS, max_degree=1,
+                    gpu_seconds=launch.total_seconds,
+                    gpu_memory_bytes=lease.reservation.nbytes,
+                    device_id=lease.device.device_id,
+                ))
+            except PinnedMemoryError as exc:
+                if self.monitor is not None:
+                    self.monitor.record_fault_fallback("sort", exc)
+            except GpuError as exc:
                 self.scheduler.record_failure(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("sort", exc)
-            stats.fallbacks += 1
-            ctx.ledger.cpu("SORT", rows,
-                           host_comparisons / (cost.cpu_sort_rate * 16),
-                           min(ctx.degree, 48))
-            stats.jobs_cpu += 1
-            return
-        else:
-            self.scheduler.record_success(lease)
-        finally:
-            self.scheduler.release(lease)
-        stats.jobs_gpu += 1
-
-    def _charge_segmented_shards(self, rows: int, segments: int,
-                                 staged: int, plan: ShardPlan,
-                                 radix: RadixSortKernel,
-                                 ctx: OperatorContext,
-                                 stats: SortRunStats) -> None:
-        """The segmented job's shard wave: merge-free per-device legs."""
-        cost = ctx.config.cost
-        shards = plan.shards
-        bounds = range_shard_bounds(rows, shards)
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             int(bounds[s + 1] - bounds[s]) * 8)
-            for s in range(shards)
-        ])
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        lost_devices: set[int] = set()
-        for s in range(shards):
-            rows_s = int(bounds[s + 1] - bounds[s])
-            if rows_s <= 0:
-                continue
-            staged_s = rows_s * 8
-            home = plan.devices[s % len(plan.devices)]
-            kernel_s = (rows_s / cost.gpu_radix_sort_rate
-                        + rows_s / cost.gpu_scan_rate)
-            placed = False
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    radix.device_bytes(rows_s), tag="sort-shard",
-                    prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    launch = streamed_launch(
-                        lease.device, self.pinned, kernel=radix.name,
-                        kernel_seconds=kernel_s,
-                        reservation=lease.reservation, rows=rows_s,
-                        bytes_in=staged_s, bytes_out=staged_s,
-                        pinned=True, pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged_s,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, staged_s, launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-SORT", rows=rows_s,
-                        cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    placed = True
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("sort", exc)
-                    stats.fallbacks += 1
-                    break
-                except GpuError as exc:
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "sort", exc, lease.device.device_id)
-                    stats.fallbacks += 1
-                    continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if not placed:
-                # This shard's segments sort on the host workers.
-                comparisons = rows_s * math.log2(
-                    max(2, rows_s // max(1, segments // shards)))
-                ctx.ledger.cpu("SORT", rows_s,
-                               comparisons / (cost.cpu_sort_rate * 16),
-                               min(ctx.degree, 48))
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        stats.jobs_gpu += 1
-        stats.sharded_jobs += 1
+                if self.monitor is not None:
+                    self.monitor.record_fault_fallback(
+                        "sort", exc, lease.device.device_id)
+            else:
+                self.scheduler.record_success(lease)
+                stats.jobs_gpu += 1
+                return
+            finally:
+                self.scheduler.release(lease)
+        stats.fallbacks += 1
+        ctx.ledger.cpu("SORT", rows,
+                       host_comparisons / (cost.cpu_sort_rate * 16),
+                       min(ctx.degree, 48))
+        stats.jobs_cpu += 1
 
     @property
     def _tracer(self):

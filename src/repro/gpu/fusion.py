@@ -41,6 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.blu.catalog import Catalog
+from repro.blu.compression import packed_key_bytes, staged_key_bytes
 from repro.blu.engine import OperatorContext
 from repro.blu.evaluators import build_fused_host_chain, build_gpu_host_chain
 from repro.blu.expressions import ColumnRef
@@ -60,6 +61,7 @@ from repro.blu.plan import (
 from repro.blu.statistics import estimate_distinct, murmur3_fmix64
 from repro.blu.table import Table
 from repro.config import SystemConfig, Thresholds
+from repro.core.exchange import first_rows
 from repro.core.metadata import RuntimeMetadata
 from repro.core.moderator import GpuModerator
 from repro.core.monitoring import OffloadDecision, PerformanceMonitor
@@ -74,12 +76,11 @@ from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.kernels.join import HashJoinKernel
 from repro.gpu.kernels.request import GroupByRequest, PayloadSpec
+from repro.gpu.partition import DISPATCH_SECONDS
 from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.streams import PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes, transfer_seconds
 from repro.timing import CostEvent, CostLedger
-
-_DISPATCH_SECONDS = 50e-6     # the single dispatching thread's CPU work
 
 #: Bytes per packed (BLU-encoded) column word shipped over PCIe.
 _PACKED = RuntimeMetadata.PACKED_COLUMN_BYTES
@@ -532,7 +533,7 @@ class FusedExecutor:
                 if isinstance(a.expr, ColumnRef)})
             fused_seconds += (current.num_rows * gather_cols
                               / cost.gpu_scan_rate)
-            per_op_bytes += (_staged_key_bytes(current, node.keys)
+            per_op_bytes += (staged_key_bytes(current, node.keys)
                              + current.num_rows * _PACKED
                              * max(1, len(node.aggs)))
             per_op_bytes += metadata.result_bytes()
@@ -587,7 +588,7 @@ class FusedExecutor:
             ctx.ledger.add(CostEvent(
                 op="GPU-FUSED",
                 rows=probe_out.num_rows,
-                cpu_seconds=_DISPATCH_SECONDS,
+                cpu_seconds=DISPATCH_SECONDS,
                 max_degree=1,
                 gpu_seconds=launch.total_seconds,
                 gpu_memory_bytes=lease.reservation.nbytes,
@@ -642,7 +643,7 @@ class FusedExecutor:
                 groupby_span.attributes["kmv_groups"] = int(kmv.groups)
                 groupby_span.attributes["kmv_relative_error"] = error
 
-        first_row = _first_rows(winner.group_index, winner.n_groups)
+        first_row = first_rows(winner.group_index, winner.n_groups)
         return build_group_output(
             current, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{current.name}_grouped",
@@ -831,7 +832,7 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
         owner = _owner_of(key, tables)
         if owner is not None:
             key_bits += owner.schema.field(key).dtype.bits
-            ship(owner, key, _packed_key_bytes(owner.column(key)),
+            ship(owner, key, packed_key_bytes(owner.column(key)),
                  "fused-key:")
         else:
             key_bits += 64
@@ -873,27 +874,6 @@ def _expr_column(expr) -> Optional[str]:
     return names[0] if len(names) == 1 else None
 
 
-def _first_rows(group_index: np.ndarray, n_groups: int) -> np.ndarray:
-    """First row of each dense group id (groups are appearance-ordered)."""
-    first = np.full(n_groups, len(group_index), dtype=np.int64)
-    np.minimum.at(first, group_index, np.arange(len(group_index)))
-    return first
-
-
-def _packed_key_bytes(col) -> int:
-    """Staged bytes of one grouping-key column at its packed width."""
-    from repro.core.hybrid_groupby import _packed_key_bytes as _pkb
-
-    return _pkb(col)
-
-
-def _staged_key_bytes(table: Table, keys) -> int:
-    """Joined-granularity key staging (the per-op reference accounting)."""
-    from repro.core.hybrid_groupby import _staged_key_bytes as _skb
-
-    return _skb(table, keys)
-
-
 def _groupby_segments(table: Table, node: GroupByNode,
                       version: int) -> list[StagedSegment]:
     """The per-operator group-by's cache keys for ``table``.
@@ -913,7 +893,7 @@ def _groupby_segments(table: Table, node: GroupByNode,
                 segment="key:" + content_digest(col.data, col.null_mask),
                 catalog_version=version,
             ),
-            nbytes=_packed_key_bytes(col),
+            nbytes=packed_key_bytes(col),
         ))
     for agg in node.aggs:
         if not isinstance(agg.expr, ColumnRef):
